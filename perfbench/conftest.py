@@ -1,0 +1,13 @@
+"""Put the program (``src/``) and the benchmark modules on the import path.
+
+Run the benchmark's own tests with ``python -m pytest perfbench -q`` from
+the repository root.
+"""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE.parent / "src", HERE):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
