@@ -1,18 +1,37 @@
-"""Bench: thread vs process extraction backend over the bench corpus.
+"""Bench: inline vs thread-pool extraction over the bench corpus.
 
 Runs the cold multi-view extraction (sequences + counts) of every corpus
-bytecode on both ``BatchFeatureService`` executor backends, asserting
-bit-identical matrices and equal kernel-pass accounting.  Throughput is
-printed for both; no relative speed is asserted — the process backend pays
-fork + pickle overhead that only amortises on multi-core machines and
-multi-GB corpora, and CI may be single-core.
+bytecode on a ``BatchFeatureService`` extracting inline and on one with a
+two-thread pool, at bench scale and on a corpus inflated to at least 4x it.
+Asserts bit-identical matrices and equal kernel-pass accounting and prints
+both rates.  No relative speed is asserted: the number is what decides
+whether the thread pool is worth keeping, and CI may be single-core.
 """
 
 import numpy as np
+import pytest
 
 from conftest import best_time
 
 from repro.features.batch import BatchFeatureService
+
+#: How many suffix-tagged copies of each unique bytecode to add.  The bench
+#: corpus has ~350 unique codes; 7 tiles push the inflated corpus past 4x
+#: the bench corpus size.
+TILE_FACTOR = 7
+
+#: Codes per kernel call, shared by both arms so only the pool differs.
+CHUNK_SIZE = 256
+
+
+def inflate_corpus(bytecodes):
+    """Tile unique codes with distinguishing suffixes to >=4x bench scale."""
+    unique = list({code for code in bytecodes if code})
+    inflated = list(bytecodes)
+    for tile in range(1, TILE_FACTOR + 1):
+        suffix = bytes([tile, 0x5B])  # distinct tail keeps content keys apart
+        inflated.extend(code + suffix for code in unique)
+    return inflated
 
 
 def extract_all(service, bytecodes):
@@ -21,31 +40,34 @@ def extract_all(service, bytecodes):
     return service.count_matrix(bytecodes)
 
 
-def test_bench_extraction_executor_backends(benchmark, corpus):
+@pytest.mark.parametrize("inflated", [False, True], ids=["1x", "inflated"])
+def test_bench_extraction_inline_vs_thread_pool(benchmark, corpus, inflated):
     bytecodes = [record.bytecode for record in corpus.records]
+    if inflated:
+        bytecodes = inflate_corpus(bytecodes)
+        assert len(bytecodes) >= 4 * len(corpus.records)
 
-    thread = BatchFeatureService(
-        cache_size=len(bytecodes), max_workers=4, chunk_size=32
+    inline = BatchFeatureService(cache_size=len(bytecodes), chunk_size=CHUNK_SIZE)
+    pooled = BatchFeatureService(
+        cache_size=len(bytecodes), max_workers=2, chunk_size=CHUNK_SIZE
     )
-    process = BatchFeatureService(
-        cache_size=len(bytecodes), max_workers=4, chunk_size=32, executor="process"
-    )
+    pooled.warm_pool()
+    try:
+        inline_time, inline_matrix = best_time(lambda: extract_all(inline, bytecodes))
+        pooled_time, pooled_matrix = benchmark.pedantic(
+            lambda: best_time(lambda: extract_all(pooled, bytecodes)),
+            rounds=1,
+            iterations=1,
+        )
+    finally:
+        pooled.close()
 
-    thread_time, thread_matrix = best_time(lambda: extract_all(thread, bytecodes))
-    process_time, process_matrix = benchmark.pedantic(
-        lambda: best_time(lambda: extract_all(process, bytecodes)),
-        rounds=1,
-        iterations=1,
-    )
-
-    assert np.array_equal(thread_matrix, process_matrix)
-    assert thread.kernel_passes == process.kernel_passes
+    assert np.array_equal(inline_matrix, pooled_matrix)
+    assert inline.kernel_passes == pooled.kernel_passes
 
     total_bytes = sum(len(code) for code in bytecodes)
     print(
-        f"\n[executor] {len(bytecodes)} contracts ({total_bytes / 1e6:.1f} MB): "
-        f"thread {thread_time:.4f}s "
-        f"({len(bytecodes) / thread_time:,.0f}/s), "
-        f"process {process_time:.4f}s "
-        f"({len(bytecodes) / process_time:,.0f}/s)"
+        f"\n[extraction] {len(bytecodes)} contracts ({total_bytes / 1e6:.1f} MB): "
+        f"inline {inline_time:.4f}s ({len(bytecodes) / inline_time:,.0f}/s), "
+        f"threads x2 {pooled_time:.4f}s ({len(bytecodes) / pooled_time:,.0f}/s)"
     )

@@ -36,19 +36,10 @@ class Scale:
     (:class:`~repro.features.store.FeatureStore`): every experiment driver
     then opens a store session keyed by its corpus fingerprint, so a second
     invocation of the same experiment loads all cached feature views from
-    disk and performs zero kernel passes.  ``feature_executor`` /
-    ``feature_workers`` pick the extraction backend (``"thread"`` or
-    ``"process"``) and pool width of the services those sessions — and
+    disk and performs zero kernel passes (it also enables spill-on-evict
+    under ``<feature_cache_dir>/spill``).  ``feature_workers`` is the
+    thread-pool width of the services those sessions — and
     ``fresh_service`` timing cells — extract through.
-    ``corpus_blob_dir`` turns on the zero-copy corpus plane
-    (:class:`~repro.features.corpus.CorpusBlob`): each store session builds
-    (once) or opens the memmap-backed ``corpus-<fingerprint>.blob`` under
-    that directory and attaches it to the session service, so process
-    workers extract from ``(blob_path, span)`` lists instead of pickled
-    byte blobs and a corpus larger than RAM streams through the OS page
-    cache.  It composes with ``feature_cache_dir`` (which also enables
-    spill-on-evict under ``<feature_cache_dir>/spill``) but works without
-    it.
 
     The ``serving_*`` knobs parameterise the request-facing
     :class:`~repro.serving.ScoringService`
@@ -108,9 +99,7 @@ class Scale:
     seed: int = 2025
     fresh_service: bool = False
     feature_cache_dir: Optional[str] = None
-    feature_executor: str = "thread"
     feature_workers: Optional[int] = None
-    corpus_blob_dir: Optional[str] = None
     serving_max_batch: int = 32
     serving_max_wait_ms: float = 2.0
     serving_verdict_cache: int = 4096

@@ -57,9 +57,8 @@ class ModelEvaluationModule:
         the cell are still extracted only once).  The cell service is sized
         to hold every contract of the cell, so the within-cell dedup
         guarantee cannot be broken by LRU self-eviction on large splits; it
-        extracts through the executor backend and pool width the scale
-        configures, so MEM timings measure the same backend a production
-        deployment would run.
+        extracts through the pool width the scale configures, so MEM timings
+        measure the same extraction a production deployment would run.
         """
         if self.scale.fresh_service:
             return self._fresh_cell_service(n_contracts)
@@ -70,15 +69,12 @@ class ModelEvaluationModule:
         """A cold per-cell service whose worker pool dies with the cell.
 
         The pool is started eagerly, *before* the caller opens its timing
-        window: the cell should measure extraction through the configured
-        backend, not one-off pool construction (for ``executor="process"``
-        that's worker fork/spawn + interpreter start, which a long-lived
-        deployment pays once, not per batch).
+        window: the cell should measure extraction, not one-off pool
+        construction, which a long-lived deployment pays once, not per batch.
         """
         service = BatchFeatureService(
             cache_size=max(4096, n_contracts),
             max_workers=self.scale.feature_workers,
-            executor=self.scale.feature_executor,
         )
         service.warm_pool()
         try:

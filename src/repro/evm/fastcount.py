@@ -29,13 +29,14 @@ Two output representations are supported:
   re-disassembling.
 
 The only Python-level loop visits PUSH *instructions* (not bytes); batches
-resolve every instruction start with vectorized pointer doubling.
+resolve every instruction start with vectorized pointer doubling over the
+PUSH-valued bytes of the concatenated codes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -125,37 +126,86 @@ def count_opcodes(bytecode: BytecodeLike) -> np.ndarray:
     return counts
 
 
-def _instruction_starts(
-    big: np.ndarray, lengths: np.ndarray, ends: np.ndarray
+def _instruction_starts_sparse(
+    buffer: np.ndarray, lengths: np.ndarray, ends: np.ndarray
 ) -> np.ndarray:
-    """Boolean mask of instruction-start bytes in a concatenated code buffer.
+    """Sorted global offsets of every instruction start in ``buffer``.
 
-    Linear-sweep disassembly is a chain: the start of instruction *k+1* is
-    ``start_k + 1 + operand_size``.  Instead of walking that chain in Python,
-    compute every byte's hypothetical successor pointer (``i + 1`` plus the
-    PUSH immediate width, clamped to a sentinel at the owning code's end) and
-    propagate reachability from the code starts by pointer doubling: after
-    round *r* the mask holds all bytes reachable within ``2^r - 1`` steps and
-    the jump table holds ``next^(2^r)``, so ``ceil(log2(max_len)) + 1``
-    rounds of pure-NumPy gathers resolve every chain.
+    ``buffer`` holds the codes back to back; ``lengths`` are their byte
+    sizes and ``ends`` their cumulative end offsets.  Linear-sweep
+    disassembly is a chain: the start of instruction *k+1* is ``start_k + 1
+    + operand_size``.  A byte is *not* an instruction start iff it sits
+    inside the immediate of a reachable PUSH, so it suffices to decide
+    reachability for the PUSH *candidates* (every push-valued byte, real or
+    immediate garbage) and subtract their covered immediate ranges.
+    Candidate chains are resolved by pointer doubling over the candidate
+    array — typically 4-8x smaller than the byte buffer: after round *r*
+    the mask holds every candidate reachable within ``2^r - 1`` steps and
+    the jump table holds ``next^(2^r)``, so ``ceil(log2(longest)) + 1``
+    rounds of pure-NumPy gathers resolve every chain, ``longest`` being the
+    largest per-code candidate count.
     """
-    n_bytes = big.shape[0]
-    successor = np.arange(1, n_bytes + 1, dtype=np.int64)
-    push_mask = (big >= _FIRST_PUSH) & (big <= _LAST_PUSH)
-    successor[push_mask] += big[push_mask].astype(np.int64) - 0x5F
-    boundary = np.repeat(ends, lengths)
-    # Sentinel n_bytes: the chain of this code is exhausted (a truncated PUSH
+    n_bytes = buffer.shape[0]
+    code_starts = ends - lengths
+    candidates = np.flatnonzero((buffer >= _FIRST_PUSH) & (buffer <= _LAST_PUSH))
+    m = candidates.shape[0]
+    if m == 0:
+        return np.arange(n_bytes, dtype=np.int64)
+    owner = np.searchsorted(ends, candidates, side="right")
+    boundary = ends[owner]
+    widths = buffer[candidates].astype(np.int64) - 0x5F
+    # Byte position following each candidate's immediate, clamped to the
+    # owning code's end (a truncated PUSH simply exhausts the chain; its
     # immediate never bleeds into the next code).
-    jump = np.append(np.where(successor < boundary, successor, n_bytes), n_bytes)
-    mark = np.zeros(n_bytes + 1, dtype=bool)
-    starts = ends - lengths
-    mark[starts[lengths > 0]] = True
-    max_len = int(lengths.max())
-    rounds = max(1, int(np.ceil(np.log2(max(max_len, 2)))) + 1)
+    after = np.minimum(candidates + 1 + widths, boundary)
+    # Each candidate's successor: the first candidate at or past ``after``
+    # (sentinel ``m`` when none is left).  A successor in a later code is
+    # that code's first candidate, which the seeding below marks reachable
+    # anyway, so chains may cross code boundaries without changing the
+    # result.
+    jump = np.append(np.searchsorted(candidates, after, side="left"), m)
+    # Seed: every byte from a code's start to its first candidate is a
+    # single-byte instruction, so the first candidate at or past each code
+    # start is reachable (for a code without candidates, that is a later
+    # code's first candidate, or the sentinel).
+    reachable = np.zeros(m + 1, dtype=bool)
+    reachable[np.searchsorted(candidates, code_starts, side="left")] = True
+    longest = int(np.bincount(owner).max())
+    rounds = max(1, int(np.ceil(np.log2(max(longest, 2)))) + 1)
     for _ in range(rounds):
-        mark[jump[np.flatnonzero(mark)]] = True
+        reachable[jump[np.flatnonzero(reachable)]] = True
         jump = jump[jump]
-    return mark[:-1]
+    reachable = reachable[:-1]
+    # Immediate ranges of reachable candidates cover the non-start bytes:
+    # position i is covered iff some reachable PUSH at p < i reaches past i.
+    # Reachable immediates are disjoint, so a running maximum of their end
+    # offsets (recorded at p + 1, the first covered byte) decides coverage.
+    covered_until = np.zeros(n_bytes + 1, dtype=np.int64)
+    covered_until[candidates[reachable] + 1] = after[reachable]
+    covered = np.maximum.accumulate(covered_until)[:n_bytes] > np.arange(
+        n_bytes, dtype=np.int64
+    )
+    return np.flatnonzero(~covered)
+
+
+def _batch_starts(
+    codes: Sequence[bytes],
+) -> "Tuple[np.ndarray, np.ndarray, np.ndarray] | None":
+    """Concatenate ``codes`` and resolve every instruction start at once.
+
+    Returns ``(buffer, ends, starts)`` — the joined uint8 buffer, each
+    code's end offset in it and the sorted global instruction starts — or
+    ``None`` when the batch holds no bytes at all.  The one instruction-start
+    resolver of both batch kernels.
+    """
+    lengths = np.fromiter(
+        (len(code) for code in codes), dtype=np.int64, count=len(codes)
+    )
+    buffer = np.frombuffer(b"".join(codes), dtype=np.uint8)
+    if buffer.shape[0] == 0:
+        return None
+    ends = np.cumsum(lengths)
+    return buffer, ends, _instruction_starts_sparse(buffer, lengths, ends)
 
 
 def count_batch(codes: Sequence[bytes]) -> np.ndarray:
@@ -163,23 +213,19 @@ def count_batch(codes: Sequence[bytes]) -> np.ndarray:
 
     All codes are concatenated into one buffer so the whole batch reduces to
     a handful of NumPy passes: one vectorized instruction-start resolution
-    (:func:`_instruction_starts`) and one ``np.bincount`` over
-    ``owner * 256 + byte``.  Per-call overhead amortises across the batch,
-    which is what makes small real-world contracts fast to sweep.
+    (:func:`_batch_starts`) and one ``np.bincount`` over ``owner * 256 +
+    byte``.  Per-call overhead amortises across the batch, which is what
+    makes small real-world contracts fast to sweep.
     """
     n = len(codes)
-    counts = np.zeros((n, 256), dtype=np.int64)
-    if n == 0:
-        return counts
-    lengths = np.array([len(code) for code in codes], dtype=np.int64)
-    blob = b"".join(codes)
-    if not blob:
-        return counts
-    big = np.frombuffer(blob, dtype=np.uint8)
-    ends = np.cumsum(lengths)
-    keep = _instruction_starts(big, lengths, ends)
-    owners = np.repeat(np.arange(n, dtype=np.int64), lengths)
-    flat = np.bincount(owners[keep] * 256 + big[keep], minlength=n * 256)
+    resolved = _batch_starts(codes)
+    if resolved is None:
+        return np.zeros((n, 256), dtype=np.int64)
+    buffer, ends, starts = resolved
+    owners = np.searchsorted(ends, starts, side="right")
+    flat = np.bincount(
+        owners * 256 + buffer[starts].astype(np.int64), minlength=n * 256
+    )
     counts = flat.reshape(n, 256).astype(np.int64, copy=False)
     extra = counts[:, UNDEFINED_VALUES].sum(axis=1)
     counts[:, UNDEFINED_VALUES] = 0
@@ -249,17 +295,6 @@ _EMPTY_SEQUENCE = OpcodeSequence(
 )
 
 
-def _sequence_from_starts(
-    array: np.ndarray, starts: np.ndarray, length: int
-) -> OpcodeSequence:
-    """Build an :class:`OpcodeSequence` from instruction-start offsets."""
-    widths = np.diff(np.append(starts, length)) - 1
-    return OpcodeSequence(
-        opcodes=_FOLD[array[starts]].astype(np.uint8),
-        widths=widths.astype(np.uint8),
-    )
-
-
 def _sequence_raw(code: bytes) -> OpcodeSequence:
     """Sequence of already-normalised ``code`` (single-bytecode kernel)."""
     if not code:
@@ -271,7 +306,11 @@ def _sequence_raw(code: bytes) -> OpcodeSequence:
         if keep is None
         else np.flatnonzero(keep)
     )
-    return _sequence_from_starts(array, starts, len(code))
+    widths = np.diff(np.append(starts, len(code))) - 1
+    return OpcodeSequence(
+        opcodes=_FOLD[array[starts]].astype(np.uint8),
+        widths=widths.astype(np.uint8),
+    )
 
 
 def opcode_sequence(bytecode: BytecodeLike) -> OpcodeSequence:
@@ -291,238 +330,38 @@ def sequence_batch(codes: Sequence[bytes]) -> List[OpcodeSequence]:
     """Batched sequence kernel for already-normalised codes.
 
     Instruction starts for the whole batch are resolved in one vectorized
-    pointer-doubling pass over the concatenated buffer
-    (:func:`_instruction_starts`); the per-code split is a single
-    ``searchsorted`` plus one slice pair per code.
+    pass over the concatenated buffer (:func:`_batch_starts`); opcodes and
+    widths are computed packed — one flat array each for the batch — and
+    every code's :class:`OpcodeSequence` is a pair of slices of them (so a
+    sequence kept alive keeps its whole batch's arrays alive; callers that
+    cache sequences bound that by batching in chunks).
     """
     n = len(codes)
-    if n == 0:
-        return []
-    lengths = np.array([len(code) for code in codes], dtype=np.int64)
-    blob = b"".join(codes)
-    if not blob:
+    resolved = _batch_starts(codes)
+    if resolved is None:
         return [_EMPTY_SEQUENCE] * n
-    big = np.frombuffer(blob, dtype=np.uint8)
-    ends = np.cumsum(lengths)
-    starts_global = np.flatnonzero(_instruction_starts(big, lengths, ends))
-    boundaries = np.searchsorted(starts_global, ends)
+    buffer, ends, starts = resolved
+    opcodes = _FOLD[buffer[starts]].astype(np.uint8)
+    # A code's final instruction is followed by the next non-empty code's
+    # first byte — its own code's end — so one diff yields every width.
+    widths = (np.diff(np.append(starts, buffer.shape[0])) - 1).astype(np.uint8)
+    bounds = np.searchsorted(starts, ends, side="left")
     sequences: List[OpcodeSequence] = []
-    cursor = 0
-    for index in range(n):
-        stop = int(boundaries[index])
-        if stop == cursor:
+    start = 0
+    for stop in bounds.tolist():
+        if stop == start:
             sequences.append(_EMPTY_SEQUENCE)
-            continue
-        offset = int(ends[index] - lengths[index])
-        local_starts = starts_global[cursor:stop] - offset
-        sequences.append(
-            _sequence_from_starts(
-                big[offset : int(ends[index])], local_starts, int(lengths[index])
+        else:
+            sequences.append(
+                OpcodeSequence(opcodes=opcodes[start:stop], widths=widths[start:stop])
             )
-        )
-        cursor = stop
+        start = stop
     return sequences
 
 
 def sequence_many(bytecodes: Iterable[BytecodeLike]) -> List[OpcodeSequence]:
     """Sequences of ``bytecodes`` (normalising hex/bytes inputs first)."""
     return sequence_batch([normalize_bytecode(bytecode) for bytecode in bytecodes])
-
-
-# ----------------------------------------------------------------------------
-# Buffer kernels (the zero-copy corpus-blob span path)
-# ----------------------------------------------------------------------------
-#
-# The batch kernels above take a list of ``bytes`` objects and concatenate
-# them; the buffer kernels below take the concatenation *directly* — a uint8
-# array (typically a read-only ``numpy.memmap`` slice of a
-# :class:`~repro.features.corpus.CorpusBlob`) plus per-code lengths — so a
-# worker extracting blob spans never materialises one ``bytes`` copy.  They
-# also resolve instruction starts over PUSH *candidates* instead of all
-# bytes (:func:`_instruction_starts_sparse`), and return *packed* results
-# (:class:`PackedSequences`) with no per-code Python loop, which is what
-# makes span extraction faster than the pickled-chunk path even on one core.
-
-
-def _instruction_starts_sparse(
-    buffer: np.ndarray, lengths: np.ndarray, ends: np.ndarray
-) -> np.ndarray:
-    """Sorted global offsets of every instruction start in ``buffer``.
-
-    Equivalent to ``np.flatnonzero(_instruction_starts(...))`` but resolved
-    over the PUSH-valued byte positions only: a byte is *not* an instruction
-    start iff it sits inside the immediate of a reachable PUSH, so it
-    suffices to decide reachability for the PUSH *candidates* (every
-    push-valued byte, real or immediate garbage) and subtract their covered
-    immediate ranges.  Candidate chains are resolved by pointer doubling
-    over the candidate array — typically 4-8x smaller than the byte buffer —
-    with the round count driven by the largest per-code candidate count.
-    """
-    n_bytes = buffer.shape[0]
-    code_starts = ends - lengths
-    candidates = np.flatnonzero((buffer >= _FIRST_PUSH) & (buffer <= _LAST_PUSH))
-    m = candidates.shape[0]
-    if m == 0:
-        return np.arange(n_bytes, dtype=np.int64)
-    owner = np.searchsorted(ends, candidates, side="right")
-    boundary = ends[owner]
-    widths = buffer[candidates].astype(np.int64) - 0x5F
-    # Byte position following each candidate's immediate, clamped to the
-    # owning code's end (a truncated PUSH simply exhausts the chain).
-    after = np.minimum(candidates + 1 + widths, boundary)
-    # Each candidate's successor candidate: the first candidate at or past
-    # ``after`` that still belongs to the same code; sentinel ``m`` otherwise.
-    successor = np.searchsorted(candidates, after, side="left")
-    clipped = np.minimum(successor, m - 1)
-    jump = np.append(
-        np.where((successor < m) & (candidates[clipped] < boundary), successor, m), m
-    )
-    # Seed: every byte from a code's start to its first candidate is a
-    # single-byte instruction, so the first in-code candidate is reachable.
-    reachable = np.zeros(m + 1, dtype=bool)
-    first = np.searchsorted(candidates, code_starts, side="left")
-    in_array = first < m
-    first_in = first[in_array]
-    in_code = candidates[first_in] < ends[in_array]
-    reachable[first_in[in_code]] = True
-    per_code = np.bincount(owner, minlength=lengths.shape[0])
-    longest = int(per_code.max()) if per_code.size else 1
-    rounds = max(1, int(np.ceil(np.log2(max(longest, 2)))) + 1)
-    for _ in range(rounds):
-        reachable[jump[np.flatnonzero(reachable)]] = True
-        jump = jump[jump]
-    reachable = reachable[:-1]
-    # Immediate ranges of reachable candidates cover the non-start bytes:
-    # position i is covered iff some reachable PUSH at p < i reaches past i.
-    # Reachable immediates are disjoint, so a running maximum of their end
-    # offsets (recorded at p + 1, the first covered byte) decides coverage.
-    covered_until = np.zeros(n_bytes + 1, dtype=np.int64)
-    covered_until[candidates[reachable] + 1] = after[reachable]
-    covered = np.maximum.accumulate(covered_until)[:n_bytes] > np.arange(
-        n_bytes, dtype=np.int64
-    )
-    return np.flatnonzero(~covered)
-
-
-@dataclass(frozen=True)
-class PackedSequences:
-    """The :class:`OpcodeSequence` views of a batch, as three flat arrays.
-
-    ``opcodes`` and ``widths`` are the concatenated per-instruction arrays
-    of every code in order, and ``lengths[i]`` is the instruction count of
-    code *i* — the split points.  This is the wire format of the span-passing
-    process workers: one pickle of three contiguous buffers replaces one
-    pickle per :class:`OpcodeSequence` (two tiny arrays each), and
-    :meth:`split` rebuilds the exact per-code sequences on the parent side.
-    """
-
-    opcodes: np.ndarray
-    widths: np.ndarray
-    lengths: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.lengths.shape[0])
-
-    def split(self) -> List[OpcodeSequence]:
-        """Per-code :class:`OpcodeSequence` list (slices, no copies)."""
-        bounds = np.cumsum(self.lengths)
-        sequences: List[OpcodeSequence] = []
-        start = 0
-        for stop in bounds.tolist():
-            if stop == start:
-                sequences.append(_EMPTY_SEQUENCE)
-            else:
-                sequences.append(
-                    OpcodeSequence(
-                        opcodes=self.opcodes[start:stop],
-                        widths=self.widths[start:stop],
-                    )
-                )
-            start = stop
-        return sequences
-
-    def counts(self) -> np.ndarray:
-        """``(n, 256)`` per-code opcode counts (equals per-code ``counts()``)."""
-        n = self.lengths.shape[0]
-        if self.opcodes.shape[0] == 0:
-            return np.zeros((n, 256), dtype=np.int64)
-        owners = np.repeat(np.arange(n, dtype=np.int64), self.lengths)
-        flat = np.bincount(
-            owners * 256 + self.opcodes.astype(np.int64), minlength=n * 256
-        )
-        return flat.reshape(n, 256).astype(np.int64, copy=False)
-
-
-def _checked_lengths(buffer: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Validate that ``lengths`` exactly tiles ``buffer`` (buffer kernels)."""
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.size and (lengths < 0).any():
-        raise ValueError("buffer kernel lengths must be non-negative")
-    total = int(lengths.sum()) if lengths.size else 0
-    if total != buffer.shape[0]:
-        raise ValueError(
-            f"buffer kernel lengths sum to {total}, buffer holds "
-            f"{buffer.shape[0]} bytes"
-        )
-    return lengths
-
-
-def sequence_buffer(buffer: np.ndarray, lengths: np.ndarray) -> PackedSequences:
-    """Packed sequence kernel over an already-concatenated uint8 buffer.
-
-    ``buffer`` holds the codes back to back (``lengths`` are their byte
-    sizes, summing to ``buffer.shape[0]``); a read-only ``numpy.memmap``
-    slice works as-is, so blob-span workers never copy the corpus bytes.
-    Per-code results are bit-identical to :func:`sequence_batch` on the
-    equivalent ``bytes`` list (pinned by the equivalence tests).
-    """
-    lengths = _checked_lengths(buffer, lengths)
-    n = lengths.shape[0]
-    if n == 0 or buffer.shape[0] == 0:
-        return PackedSequences(
-            opcodes=np.zeros(0, dtype=np.uint8),
-            widths=np.zeros(0, dtype=np.uint8),
-            lengths=np.zeros(n, dtype=np.int64),
-        )
-    buffer = np.ascontiguousarray(buffer).view(np.uint8)
-    ends = np.cumsum(lengths)
-    starts = _instruction_starts_sparse(buffer, lengths, ends)
-    opcodes = _FOLD[buffer[starts]].astype(np.uint8)
-    widths = np.diff(np.append(starts, buffer.shape[0])) - 1
-    per_code = np.diff(np.concatenate([[0], np.searchsorted(starts, ends, side="left")]))
-    # The plain diff pairs each code's final instruction with the *next
-    # code's* first start; its true width runs to its own code's end.
-    last = np.cumsum(per_code) - 1
-    nonempty = per_code > 0
-    last_in = last[nonempty]
-    widths[last_in] = ends[nonempty] - starts[last_in] - 1
-    return PackedSequences(
-        opcodes=opcodes, widths=widths.astype(np.uint8), lengths=per_code
-    )
-
-
-def count_buffer(buffer: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """``(n, 256)`` count kernel over an already-concatenated uint8 buffer.
-
-    The buffer-level analogue of :func:`count_batch`; bit-identical on the
-    equivalent ``bytes`` list.
-    """
-    lengths = _checked_lengths(buffer, lengths)
-    n = lengths.shape[0]
-    if n == 0 or buffer.shape[0] == 0:
-        return np.zeros((n, 256), dtype=np.int64)
-    buffer = np.ascontiguousarray(buffer).view(np.uint8)
-    ends = np.cumsum(lengths)
-    starts = _instruction_starts_sparse(buffer, lengths, ends)
-    owners = np.searchsorted(ends, starts, side="right")
-    flat = np.bincount(
-        owners * 256 + buffer[starts].astype(np.int64), minlength=n * 256
-    )
-    counts = flat.reshape(n, 256).astype(np.int64, copy=False)
-    extra = counts[:, UNDEFINED_VALUES].sum(axis=1)
-    counts[:, UNDEFINED_VALUES] = 0
-    counts[:, INVALID_BIN] += extra
-    return counts
 
 
 def mnemonic_sequence(bytecode: BytecodeLike) -> List[str]:

@@ -63,10 +63,7 @@ def run_fig2(
     persistent feature store (:class:`~repro.features.store.FeatureStore`)
     with every corpus bytecode — Fig. 2 is the corpus-construction figure,
     so it is the natural point to pay the one extraction sweep that makes
-    later feature-consuming experiments over the same corpus warm.  With
-    ``scale.corpus_blob_dir`` set the same session builds the memmap corpus
-    blob (:class:`~repro.features.corpus.CorpusBlob`), so every later
-    experiment over this corpus extracts through zero-copy spans.
+    later feature-consuming experiments over the same corpus warm.
     """
     scale = scale or Scale.ci()
     if corpus is not None and cache_dir is not None:
@@ -80,7 +77,7 @@ def run_fig2(
             corpus = load_or_generate(scale.corpus, cache_dir)[0]
         else:
             corpus = ContractCorpusGenerator(scale.corpus).generate()
-    if scale.feature_cache_dir is not None or scale.corpus_blob_dir is not None:
+    if scale.feature_cache_dir is not None:
         with feature_session(scale, [record.bytecode for record in corpus.records]):
             pass
     phishing = corpus.phishing

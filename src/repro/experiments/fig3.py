@@ -113,9 +113,7 @@ def run_fig3(
     ``scale.feature_cache_dir`` set (and no explicit ``service``, which
     always takes precedence), the counts flow through a persistent
     :class:`~repro.features.store.FeatureStore` session, so a repeated run
-    over the same dataset performs zero kernel passes;
-    ``scale.corpus_blob_dir`` additionally routes cold extraction through
-    the memmap corpus blob's zero-copy span path.
+    over the same dataset performs zero kernel passes.
     """
     opcodes = list(opcodes or FIG3_OPCODES)
     labels = dataset.labels

@@ -162,10 +162,7 @@ def run_scalability(
     :class:`~repro.features.store.FeatureStore` session instead: the warm-up
     happens against the store's right-sized service (loaded from disk on a
     repeat run, so zero kernel passes), and the populated cache is saved
-    back for the next invocation.  ``scale.corpus_blob_dir`` additionally
-    builds the memmap corpus blob once, so the sweep's cold extraction runs
-    through the zero-copy span path — the scalability experiment's path to
-    corpora that dwarf RAM.
+    back for the next invocation.
     """
     scale = scale or Scale.ci()
     model_names = list(model_names or SCALABILITY_MODEL_NAMES)

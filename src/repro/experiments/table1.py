@@ -21,8 +21,7 @@ def run_table1(
             experiment drivers.  Table I is derived purely from the opcode
             registry — there are no bytecodes to extract — so its feature
             session (:func:`~repro.features.store.feature_session`) is a
-            documented no-op even when ``scale.feature_cache_dir`` or
-            ``scale.corpus_blob_dir`` is set.
+            documented no-op even when ``scale.feature_cache_dir`` is set.
     """
     with feature_session(scale, None):
         rows = opcode_table_rows()

@@ -61,9 +61,7 @@ def run_table2(
     persistent :class:`~repro.features.store.FeatureStore` session: the
     session's service is installed as the process-wide default, so every
     detector's extraction is a cache lookup, and a repeated run loads all
-    views from disk (zero kernel passes).  ``scale.corpus_blob_dir``
-    additionally builds the memmap corpus blob once and extracts cold
-    misses through its zero-copy span path.  ``scale.fresh_service`` still
+    views from disk (zero kernel passes).  ``scale.fresh_service`` still
     wins inside timed cells — those deliberately extract cold.
     """
     scale = scale or Scale.ci()

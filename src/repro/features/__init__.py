@@ -11,7 +11,6 @@ from .batch import (
     set_default_service,
     use_service,
 )
-from .corpus import CorpusBlob, CorpusBlobError, extract_blob_spans
 from .store import (
     FeatureStore,
     StoreSession,
@@ -46,9 +45,6 @@ __all__ = [
     "CacheLoadError",
     "CacheStats",
     "CacheWriteError",
-    "CorpusBlob",
-    "CorpusBlobError",
-    "extract_blob_spans",
     "FeatureStore",
     "StoreSession",
     "corpus_fingerprint",

@@ -24,24 +24,13 @@ families).  :class:`BatchFeatureService` exploits all of it:
   installed into the cache (every kernel run when caching is disabled) —
   the cost signal the one-disassembly-per-unique-bytecode property is
   asserted on.
-* **chunked multi-worker batches** — cache misses are deduplicated and
-  dispatched in chunks to a ``concurrent.futures`` pool.  Two executor
-  backends are supported (``executor="thread"``, the default, and
-  ``executor="process"``): threads overlap usefully without pickling while
-  the kernels spend their time in NumPy, whereas a process pool ships the
-  chunk byte blobs to worker interpreters running the
-  :mod:`repro.evm.fastcount` kernels and merges the returned count/sequence
-  arrays back into the parent cache — sidestepping the GIL-bound
-  per-chunk Python overhead on multi-GB corpora.  Both backends produce
-  bit-identical results (pinned by the equivalence tests);
-* **zero-copy corpus spans** — with a
-  :class:`~repro.features.corpus.CorpusBlob` attached, misses the blob
-  indexes skip the byte blobs entirely: workers receive
-  ``(blob_path, [(start, stop), ...])`` span lists, open the blob once per
-  process as a read-only ``numpy.memmap``, and return *packed* results
-  (one :class:`~repro.evm.fastcount.PackedSequences` or count matrix per
-  task), so corpus bytes never cross the pipe in either direction and a
-  corpus that dwarfs RAM streams through the OS page cache;
+* **chunked batches** — cache misses are deduplicated and handed in
+  chunks to the packed batch kernels of :mod:`repro.evm.fastcount`
+  (:func:`~repro.evm.fastcount.sequence_batch` /
+  :func:`~repro.evm.fastcount.count_batch`), inline or across an optional
+  thread pool: the kernels spend their time in NumPy, so threads overlap
+  usefully with no serialization, and pooled results are bit-identical
+  to inline ones (pinned by the equivalence tests);
 * **spill-on-evict caching** — with a spill directory configured, the LRU
   writes an evicted entry's persistable views to a content-addressed
   spill file instead of dropping them, and every view getter falls back
@@ -74,14 +63,12 @@ from __future__ import annotations
 import functools
 import hashlib
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import repeat
 from pathlib import Path
 from threading import Lock
 from typing import (
-    TYPE_CHECKING,
     Dict,
     Iterator,
     List,
@@ -106,9 +93,6 @@ from ..evm.fastcount import (
     sequence_batch,
 )
 from .rawbytes import byte_count_vector, r2d2_image_from_bytes
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from .corpus import CorpusBlob
 
 #: Opcode byte values a folded sequence may legally contain (undefined
 #: values are collapsed into INVALID by the kernel, so a persisted sequence
@@ -146,10 +130,6 @@ class CacheLoadError(RuntimeError):
 
 class CacheWriteError(RuntimeError):
     """A persistent cache file could not be written (bad path, full disk)."""
-
-
-#: Executor backends :meth:`BatchFeatureService._map_chunks` can dispatch to.
-EXECUTOR_BACKENDS = ("thread", "process")
 
 
 def _traced(name: str):
@@ -281,35 +261,20 @@ def _gram_codes(code: bytes, bytes_per_gram: int) -> np.ndarray:
 
 
 class BatchFeatureService:
-    """Cached, chunked, multi-worker extraction of all bytecode feature views.
+    """Cached, chunked, multi-threaded extraction of all bytecode feature views.
 
     Args:
         cache_size: Maximum number of cached bytecodes (entries) kept in the
             LRU cache; ``0`` disables caching entirely.
-        max_workers: Worker-pool width for batch extraction; ``None`` or ``1``
-            keeps extraction on the calling thread.
-        chunk_size: Number of distinct bytecodes handed to each worker task.
-        executor: ``"thread"`` (default) dispatches chunks to a
-            ``ThreadPoolExecutor`` — no pickling, kernels release time in
-            NumPy; ``"process"`` ships each chunk's byte blobs to a
-            ``ProcessPoolExecutor`` worker and merges the returned arrays
-            into the parent cache, escaping the GIL for per-chunk Python
-            overhead on very large corpora.  Both backends are bit-identical.
-        corpus_blob: Optional :class:`~repro.features.corpus.CorpusBlob`.
-            Misses whose content key the blob indexes are extracted through
-            the zero-copy span path: the process backend sends workers
-            ``(blob_path, [(start, stop), ...])`` instead of pickled byte
-            blobs, the thread/inline paths slice the parent's own memmap.
-            Bit-identical to the in-memory path.
+        max_workers: Thread-pool width for batch extraction; ``None`` or
+            ``1`` keeps extraction on the calling thread.
+        chunk_size: Number of distinct bytecodes handed to each kernel call.
         spill_dir: Optional directory for eviction spill files.  When set,
             evicting an entry writes its persistable views (counts,
             sequence, n-grams, analysis) to a content-addressed
             ``spill-<hash>.npz`` instead of dropping them, and view getters
             fall back to a spill read before declaring a miss — eviction
             stops meaning recompute.
-        span_chunk_size: Number of spans per worker task on the blob path.
-            Span tasks are a few bytes each regardless of corpus size, so
-            this defaults much larger than ``chunk_size``.
     """
 
     def __init__(
@@ -317,25 +282,13 @@ class BatchFeatureService:
         cache_size: int = 4096,
         max_workers: Optional[int] = None,
         chunk_size: int = 64,
-        executor: str = "thread",
-        corpus_blob: Optional["CorpusBlob"] = None,
         spill_dir: Optional[Union[str, Path]] = None,
-        span_chunk_size: int = 512,
     ):
         if chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
-        if span_chunk_size < 1:
-            raise ValueError("span_chunk_size must be >= 1")
-        if executor not in EXECUTOR_BACKENDS:
-            raise ValueError(
-                f"executor must be one of {EXECUTOR_BACKENDS}, got {executor!r}"
-            )
         self.max_workers = max_workers
         self.chunk_size = chunk_size
-        self.span_chunk_size = span_chunk_size
-        self.executor = executor
-        self._pool = None
-        self._blob = corpus_blob
+        self._pool: Optional[ThreadPoolExecutor] = None
         self._spill_dir = Path(spill_dir) if spill_dir is not None else None
         self.stats = CacheStats()
         self.sequence_stats = CacheStats()
@@ -347,16 +300,6 @@ class BatchFeatureService:
         self._cache: "OrderedDict[bytes, _CacheEntry]" = OrderedDict()
         self._lock = Lock()
         self.cache_size = cache_size
-
-    @property
-    def corpus_blob(self) -> Optional["CorpusBlob"]:
-        """The attached corpus blob (``None`` → pickled-chunk dispatch)."""
-        return self._blob
-
-    def attach_blob(self, blob: Optional["CorpusBlob"]) -> None:
-        """Attach (or detach, with ``None``) the span-path corpus blob."""
-        with self._lock:
-            self._blob = blob
 
     @property
     def spill_dir(self) -> Optional[Path]:
@@ -742,8 +685,8 @@ class BatchFeatureService:
     def _install_sequence(self, key: bytes, sequence: OpcodeSequence) -> None:
         """Install one freshly *computed* sequence and account its kernel pass.
 
-        The single accounting rule for every sequence-producing path (scalar,
-        batch, blob span): a pass counts when the result was newly installed,
+        The single accounting rule for every sequence-producing path (scalar
+        and batch): a pass counts when the result was newly installed,
         or on every kernel run when caching is disabled (nothing can be
         installed, but the work was done).  Keeping all call sites on this
         helper is what makes ``kernel_passes`` comparable across
@@ -848,101 +791,16 @@ class BatchFeatureService:
         self, keys: Sequence[bytes], codes: Dict[bytes, bytes]
     ) -> List[np.ndarray]:
         # Only reached with caching disabled, where no dedup is possible:
-        # every code is a real kernel pass.  Blob-indexed keys still take the
-        # span path (pure count kernels over memmap views); the rest ship
-        # their byte blobs.
+        # every code is a real kernel pass.
         with self._lock:
             self.kernel_passes += len(keys)
-        blob_keys, rest = self._partition_blob_keys(keys)
-        vectors: Dict[bytes, np.ndarray] = {}
-        if blob_keys:
-            matrices = self._map_span_chunks(
-                [self._blob.span(key) for key in blob_keys], "counts"
-            )
-            rows = (np.array(row) for matrix in matrices for row in matrix)
-            vectors.update(zip(blob_keys, rows))
-        if rest:
-            computed = self._map_chunks(
-                self._compute_chunk, [codes[key] for key in rest]
-            )
-            vectors.update(zip(rest, computed))
-        return [vectors[key] for key in keys]
-
-    def _partition_blob_keys(
-        self, keys: Sequence[bytes]
-    ) -> Tuple[List[bytes], List[bytes]]:
-        """Split ``keys`` into (blob-indexed, everything else)."""
-        blob = self._blob
-        if blob is None:
-            return [], list(keys)
-        blob_keys: List[bytes] = []
-        rest: List[bytes] = []
-        for key in keys:
-            (blob_keys if key in blob else rest).append(key)
-        return blob_keys, rest
+        return self._map_chunks(self._compute_chunk, [codes[key] for key in keys])
 
     def _sequences_for_missing(
         self, keys: Sequence[bytes], codes: Dict[bytes, bytes]
     ) -> List[OpcodeSequence]:
-        """Sequences of deduplicated cache misses, in ``keys`` order.
-
-        The one dispatch point of every batched sequence computation: keys
-        the attached corpus blob indexes go through the zero-copy span path
-        (workers receive ``(blob_path, spans)``, not the bytes), the rest
-        through the pickled-chunk path.  Both produce sequences bit-identical
-        to ``sequence_batch`` on the raw bytes.
-        """
-        blob_keys, rest = self._partition_blob_keys(keys)
-        results: Dict[bytes, OpcodeSequence] = {}
-        if blob_keys:
-            packed = self._map_span_chunks(
-                [self._blob.span(key) for key in blob_keys], "sequences"
-            )
-            sequences = (s for p in packed for s in p.split())
-            results.update(zip(blob_keys, sequences))
-        if rest:
-            computed = self._map_chunks(
-                sequence_batch, [codes[key] for key in rest]
-            )
-            results.update(zip(rest, computed))
-        return [results[key] for key in keys]
-
-    @_traced("kernel")
-    def _map_span_chunks(self, spans: Sequence[Tuple[int, int]], kind: str) -> list:
-        """Run one packed span-extraction task per ``span_chunk_size`` spans.
-
-        The process backend maps the module-level
-        :func:`~repro.features.corpus.extract_blob_spans` over
-        ``(blob_path, spans, kind)`` argument triples — corpus bytes never
-        cross the pipe in either direction (results come back as packed
-        arrays); thread and inline execution slice the parent's own memmap.
-        """
-        from .corpus import extract_blob_spans
-
-        chunks = [
-            list(spans[start : start + self.span_chunk_size])
-            for start in range(0, len(spans), self.span_chunk_size)
-        ]
-        pooled = (
-            self.max_workers is not None
-            and self.max_workers > 1
-            and len(chunks) > 1
-        )
-        if pooled and self.executor == "process":
-            return list(
-                self._get_pool().map(
-                    extract_blob_spans,
-                    repeat(str(self._blob.path)),
-                    chunks,
-                    repeat(kind),
-                )
-            )
-        if pooled:
-            blob = self._blob
-            return list(
-                self._get_pool().map(lambda chunk: blob.extract(chunk, kind), chunks)
-            )
-        return [self._blob.extract(chunk, kind) for chunk in chunks]
+        """Sequences of deduplicated cache misses, in ``keys`` order."""
+        return self._map_chunks(sequence_batch, [codes[key] for key in keys])
 
     @_traced("kernel")
     def _map_chunks(self, compute_chunk, codes: Sequence[bytes]) -> list:
@@ -954,32 +812,23 @@ class BatchFeatureService:
         ]
         if self.max_workers is None or self.max_workers <= 1 or len(chunks) <= 1:
             return [result for chunk in chunks for result in compute_chunk(chunk)]
-        # Workers only ever see immutable chunk byte blobs and return fresh
-        # arrays, so both pool kinds merge into the parent cache identically;
-        # the process path additionally round-trips chunks/results through
-        # pickle, which every kernel payload (bytes, ndarray, OpcodeSequence)
-        # supports.
+        # Workers only ever see immutable chunk byte strings and return fresh
+        # arrays, so pooled results merge into the cache exactly like inline
+        # ones.
         chunk_results = list(self._get_pool().map(compute_chunk, chunks))
         return [result for chunk in chunk_results for result in chunk]
 
-    def _get_pool(self):
-        """The service's lazily created, reused worker pool.
+    def _get_pool(self) -> ThreadPoolExecutor:
+        """The service's lazily created, reused thread pool.
 
-        Keeping one pool alive across batches matters most for the process
-        backend, where per-call pool construction would pay worker startup
-        (fork/spawn, interpreter + NumPy import) on every ``count_matrix``
-        call; experiment drivers issue many small calls per run.  Call
-        :meth:`close` to release the workers (the next batch transparently
-        builds a fresh pool).
+        One pool lives across batches, so experiment drivers issuing many
+        small calls per run do not rebuild it each time.  Call :meth:`close`
+        to release the threads (the next batch transparently builds a fresh
+        pool).
         """
         with self._lock:
             if self._pool is None:
-                pool_type = (
-                    ProcessPoolExecutor
-                    if self.executor == "process"
-                    else ThreadPoolExecutor
-                )
-                self._pool = pool_type(max_workers=self.max_workers)
+                self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
             return self._pool
 
     def warm_pool(self) -> None:
@@ -987,8 +836,7 @@ class BatchFeatureService:
 
         A no-op when ``max_workers`` would never build a pool.  Callers that
         time extraction (the MEM ``fresh_service`` cells) use this to keep
-        one-off pool construction — expensive for the process backend —
-        outside their measured window.
+        one-off pool construction outside their measured window.
         """
         if self.max_workers is not None and self.max_workers > 1:
             self._get_pool()
@@ -997,8 +845,7 @@ class BatchFeatureService:
         """Shut down the worker pool (if any); the cache stays intact.
 
         Safe to call repeatedly; further batch calls recreate the pool on
-        demand.  Mostly relevant for ``executor="process"`` services, whose
-        idle workers would otherwise live until interpreter exit.
+        demand.
         """
         with self._lock:
             pool, self._pool = self._pool, None

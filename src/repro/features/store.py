@@ -36,23 +36,14 @@ Store layout
   for, and ``session.store`` reaches the store-level file hit/miss
   counters.
 
-The executor backend of the underlying service (``"thread"`` or
-``"process"``) and its worker count are store construction knobs, threaded
-from ``Scale.feature_executor`` / ``Scale.feature_workers`` by
-:func:`feature_session` — the helper every experiment driver calls.
+The thread-pool width of the underlying service is a store construction
+knob, threaded from ``Scale.feature_workers`` by :func:`feature_session` —
+the helper every experiment driver calls.
 
-Two disk planes compose with the ``.npz`` warm starts:
-
-* **Corpus blobs** (``Scale.corpus_blob_dir`` → ``blob_dir``): sessions
-  build-or-open the memmap-backed ``corpus-<fingerprint>.blob``
-  (:class:`~repro.features.corpus.CorpusBlob`) and attach it to the
-  service, so extraction goes through zero-copy spans instead of pickled
-  byte blobs — fig2/fig3/table2/scalability build the blob once and every
-  later run extracts from it.
-* **Eviction spill** (automatic under ``<cache_dir>/spill``): session
-  services write evicted entries' persistable views to content-addressed
-  spill files and read them back on demand, so LRU pressure degrades to a
-  disk read instead of a recompute.
+Eviction spill composes with the ``.npz`` warm starts: session services
+write evicted entries' persistable views to content-addressed spill files
+under ``<cache_dir>/spill`` and read them back on demand, so LRU pressure
+degrades to a disk read instead of a recompute.
 """
 
 from __future__ import annotations
@@ -72,7 +63,6 @@ from .batch import (
     use_service,
 )
 from ..obs.log import get_logger
-from .corpus import CorpusBlob, CorpusBlobError
 
 logger = get_logger(__name__)
 
@@ -118,15 +108,13 @@ class StoreSession:
     ends.
     """
 
-    path: Optional[Path]
+    path: Path
     fingerprint: str
     service: Optional[BatchFeatureService]
     store: "FeatureStore"
     warm_start: bool
     entries_loaded: int
     saved: bool = False
-    #: The session's corpus blob (``None`` unless ``blob_dir`` is set).
-    blob: Optional[CorpusBlob] = None
     _passes_start: int = 0
     _hits_start: int = 0
     _lookups_start: int = 0
@@ -242,21 +230,13 @@ class FeatureStore:
 
     Args:
         cache_dir: Directory holding the ``features-*.npz`` files (created
-            on first save).  ``None`` disables file persistence — useful for
-            blob-only stores (``blob_dir`` set) where the corpus plane is
-            wanted without ``.npz`` warm starts.
+            on first save).
         cache_size: Minimum entry capacity of session services; each session
             grows it to the corpus size so warming can never self-evict.
         max_workers: Worker-pool width of session services.
         chunk_size: Chunk size of session services.
-        executor: Executor backend of session services (``"thread"`` or
-            ``"process"``, see :class:`BatchFeatureService`).
-        blob_dir: Optional directory of memmap corpus blobs.  When set, each
-            session builds-or-opens ``corpus-<fingerprint>.blob`` there and
-            attaches it to the service, turning on the zero-copy span path.
 
-    When ``cache_dir`` is set, session services also spill evicted entries
-    to ``<cache_dir>/spill`` (content-addressed, shared across corpora), so
+    Session services also spill evicted entries to ``<cache_dir>/spill`` (content-addressed, shared across corpora), so
     LRU eviction degrades to a disk read instead of a recompute.
 
     ``file_hits`` / ``file_misses`` count sessions that started warm/cold —
@@ -265,36 +245,25 @@ class FeatureStore:
 
     def __init__(
         self,
-        cache_dir: Optional[Union[str, Path]],
+        cache_dir: Union[str, Path],
         cache_size: int = 4096,
         max_workers: Optional[int] = None,
         chunk_size: int = 64,
-        executor: str = "thread",
-        blob_dir: Optional[Union[str, Path]] = None,
     ):
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
+        self.cache_dir = Path(cache_dir)
         self.cache_size = cache_size
         self.max_workers = max_workers
         self.chunk_size = chunk_size
-        self.executor = executor
-        self.blob_dir = Path(blob_dir) if blob_dir is not None else None
         self.file_hits = 0
         self.file_misses = 0
 
-    def path_for(self, fingerprint: str) -> Optional[Path]:
-        """The store file a corpus with ``fingerprint`` persists under.
-
-        ``None`` when the store is blob-only (no ``cache_dir``).
-        """
-        if self.cache_dir is None:
-            return None
+    def path_for(self, fingerprint: str) -> Path:
+        """The store file a corpus with ``fingerprint`` persists under."""
         return self.cache_dir / f"{STORE_FILE_PREFIX}{fingerprint}.npz"
 
     @property
-    def spill_dir(self) -> Optional[Path]:
+    def spill_dir(self) -> Path:
         """Directory session services spill evicted entries to."""
-        if self.cache_dir is None:
-            return None
         return self.cache_dir / "spill"
 
     def _service_for(self, n_codes: int) -> BatchFeatureService:
@@ -302,26 +271,8 @@ class FeatureStore:
             cache_size=max(self.cache_size, n_codes, 1),
             max_workers=self.max_workers,
             chunk_size=self.chunk_size,
-            executor=self.executor,
             spill_dir=self.spill_dir,
         )
-
-    def _blob_for(
-        self, codes: Sequence[bytes], fingerprint: str
-    ) -> Optional[CorpusBlob]:
-        """Build-or-open the corpus blob of one session (best-effort).
-
-        A blob that cannot be created (unwritable directory, corrupt beyond
-        the rebuild :meth:`CorpusBlob.for_corpus` already performs) degrades
-        to the pickled-chunk path rather than failing the experiment.
-        """
-        if self.blob_dir is None:
-            return None
-        try:
-            return CorpusBlob.for_corpus(self.blob_dir, codes, fingerprint)
-        except CorpusBlobError as exc:
-            logger.warning("corpus blob unavailable, falling back: %s", exc)
-            return None
 
     @contextmanager
     def session(
@@ -349,12 +300,9 @@ class FeatureStore:
         fingerprint = _fingerprint_normalized(codes)
         path = self.path_for(fingerprint)
         service = self._service_for(len(codes))
-        blob = self._blob_for(codes, fingerprint)
-        if blob is not None:
-            service.attach_blob(blob)
         warm_start = False
         entries_loaded = 0
-        if path is not None and path.exists():
+        if path.exists():
             try:
                 entries_loaded = service.load(path)
                 warm_start = True
@@ -371,7 +319,6 @@ class FeatureStore:
             store=self,
             warm_start=warm_start,
             entries_loaded=entries_loaded,
-            blob=blob,
             _passes_start=service.kernel_passes,
             _ngram_misses_start=service.ngram_stats.misses,
             _analysis_misses_start=service.analysis_stats.misses,
@@ -391,7 +338,7 @@ class FeatureStore:
             raise
         finally:
             try:
-                if path is not None and session.dirty:
+                if session.dirty:
                     size_before = path.stat().st_size if path.exists() else 0
                     service.save(path)
                     session.saved = True
@@ -403,7 +350,7 @@ class FeatureStore:
                         size_after - size_before, session.kernel_passes,
                         session.ngram_misses, session.analysis_misses,
                     )
-                elif path is not None:
+                else:
                     logger.debug(
                         "feature store save skipped (nothing new): %s", path.name
                     )
@@ -427,13 +374,11 @@ def feature_session(
 ) -> Iterator[Optional[StoreSession]]:
     """The experiment drivers' store hook; a no-op unless configured.
 
-    Yields ``None`` (and touches nothing) when ``scale`` is ``None``, sets
-    neither ``feature_cache_dir`` nor ``corpus_blob_dir``, or the driver has
-    no bytecodes to cache (Table I is registry-only).  Otherwise opens a
+    Yields ``None`` (and touches nothing) when ``scale`` is ``None``, does
+    not set ``feature_cache_dir``, or the driver has no bytecodes to cache
+    (Table I is registry-only).  Otherwise opens a
     :meth:`FeatureStore.session` built from the scale's feature knobs, so
-    the driver's whole body runs against the persistent warm service —
-    with ``corpus_blob_dir`` set, the session builds the corpus blob once
-    and every extraction thereafter goes through the zero-copy span path.
+    the driver's whole body runs against the persistent warm service.
 
     ``scale.fresh_service`` suppresses the session's pre-warm sweep: the
     MEM timing cells it exists for extract through their own cold per-cell
@@ -441,15 +386,11 @@ def feature_session(
     whatever those drivers do route through the session still persists.
     """
     cache_dir = getattr(scale, "feature_cache_dir", None) if scale else None
-    blob_dir = getattr(scale, "corpus_blob_dir", None) if scale else None
-    if (cache_dir is None and blob_dir is None) or bytecodes is None:
+    if cache_dir is None or bytecodes is None:
         yield None
         return
     store = FeatureStore(
-        cache_dir,
-        max_workers=getattr(scale, "feature_workers", None),
-        executor=getattr(scale, "feature_executor", "thread"),
-        blob_dir=blob_dir,
+        cache_dir, max_workers=getattr(scale, "feature_workers", None)
     )
     warm = not getattr(scale, "fresh_service", False)
     with store.session(bytecodes, warm=warm) as session:

@@ -36,7 +36,9 @@ class DeepModelScale:
 
     ``paper()`` mirrors the original setting (224×224 images, long token
     windows, many epochs); ``ci()`` is small enough for CPU-only runs and is
-    the default everywhere in the test-suite and benchmarks.  Vision models
+    what ``Scale.ci()`` and a bare ``Scale()`` use; ``smoke()`` is smaller
+    still and is what ``Scale.smoke()`` (the unit tests) and the benchmark
+    harness's ``bench_scale()`` use.  Vision models
     train from scratch (no ImageNet pretraining is available offline), so
     they get their own epoch/learning-rate budget.
     """

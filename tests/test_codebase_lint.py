@@ -1,6 +1,6 @@
 """Codebase hygiene lints over ``src/``.
 
-A small AST pass enforcing three rules across every production module:
+A small AST pass enforcing these rules across every production module:
 
 * no bare ``except:`` clauses (they swallow ``KeyboardInterrupt`` and mask
   programming errors — catch a concrete exception type instead),
@@ -8,9 +8,11 @@ A small AST pass enforcing three rules across every production module:
   calls),
 * no ``assert`` statements outside tests (``python -O`` strips them, so
   they must never guard runtime invariants — raise an exception instead),
-* no explicit ``pickle`` use in ``repro.features`` (corpus bytes must move
-  as memmap spans through the zero-copy blob path, never as hand-pickled
-  blobs — see :mod:`repro.features.corpus`),
+* no explicit ``pickle`` use in ``repro.features`` (extraction runs in the
+  parent process, so nothing there has a reason to serialize corpus bytes),
+* no process pools in ``repro.features`` or ``repro.evm`` (the extraction
+  kernels run inline or on threads; see
+  :class:`~repro.features.batch.BatchFeatureService`),
 * no bare ``print(`` calls (diagnostic output goes through
   :mod:`repro.obs.log`, where it can be silenced, redirected, or stamped
   with the active trace id — stray prints pollute library users' stdout),
@@ -84,15 +86,14 @@ def test_no_assert_statements_in_production_code():
 
 
 def test_no_pickling_of_corpus_bytes_in_features():
-    """The span path is mandatory for corpus payloads in ``repro.features``.
+    """Corpus bytes never get serialized in ``repro.features``.
 
-    ``BatchFeatureService``'s process backend used to ship pickled chunk
-    byte blobs; the corpus-blob plane replaced that with ``(path, span)``
-    lists over a shared memmap.  Any explicit ``pickle.dumps``/``loads``
-    (or a ``pickle`` import at all) in the features package would
-    reintroduce a serialization path for raw corpus bytes, so it is banned
-    outright — the implicit executor-level pickling of *small* task
-    arguments and packed result arrays is the only serialization allowed.
+    Every extraction runs in the process that already holds the bytes —
+    inline or on a thread pool sharing its memory — and the on-disk
+    caches use the validated ``.npz`` format of :mod:`repro.persist`.  An
+    explicit ``pickle.dumps``/``loads`` (or a ``pickle`` import at all) in
+    the features package would add a second, unvalidated serialization
+    path for corpus bytes or feature arrays, so it is banned outright.
     """
     features = SRC / "repro" / "features"
     offenders = []
@@ -114,6 +115,35 @@ def test_no_pickling_of_corpus_bytes_in_features():
             ):
                 offenders.append(_location(path, node))
     assert offenders == [], f"pickle use found in repro.features: {offenders}"
+
+
+def test_no_process_pools_in_extraction_layers():
+    """``repro.features`` and ``repro.evm`` import no process-pool machinery.
+
+    A process backend for extraction never beat the thread pool on the
+    reference machine, and a killed worker poisoned every later batch of
+    the service that owned the pool.  Importing ``ProcessPoolExecutor`` or
+    ``multiprocessing`` in either package would bring that path back.
+    """
+    offenders = []
+    for package in ("features", "evm"):
+        for path in sorted((SRC / "repro" / package).rglob("*.py")):
+            for node in ast.walk(_parse(path)):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] + [
+                        f"{node.module}.{alias.name}" for alias in node.names
+                    ]
+                else:
+                    continue
+                if any(
+                    name.split(".")[0] == "multiprocessing"
+                    or name.endswith("ProcessPoolExecutor")
+                    for name in names
+                ):
+                    offenders.append(_location(path, node))
+    assert offenders == [], f"process-pool imports found: {offenders}"
 
 
 def test_no_bare_print_in_production_code():

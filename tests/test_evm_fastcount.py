@@ -24,12 +24,39 @@ from repro.evm.fastcount import (
     instruction_count,
     mnemonic_counts,
     observed_mnemonics,
+    sequence_batch,
 )
 from repro.evm.opcodes import SHANGHAI_OPCODES
 
 
 def legacy_counts(bytecode) -> dict:
     return dict(Counter(Disassembler().mnemonics(bytecode)))
+
+
+def assert_batch_matches_disassembler(codes):
+    """Both batch kernels, code by code, against the ``Disassembler`` oracle."""
+    matrix = count_batch(codes)
+    sequences = sequence_batch(codes)
+    assert matrix.shape == (len(codes), 256)
+    assert len(sequences) == len(codes)
+    for row, sequence, code in zip(matrix, sequences, codes):
+        code = bytes(code)
+        instructions = Disassembler().disassemble(code)
+        counted = {BIN_MNEMONICS[int(v)]: int(row[v]) for v in np.flatnonzero(row)}
+        assert counted == legacy_counts(code), code.hex()
+        assert sequence.mnemonics() == [i.mnemonic for i in instructions], code.hex()
+        starts = sequence.starts()
+        assert starts.tolist() == [i.offset for i in instructions], code.hex()
+        for index, instruction in enumerate(instructions):
+            start, width = int(starts[index]), int(sequence.widths[index])
+            if 0x60 <= int(sequence.opcodes[index]) <= 0x7F:
+                operand = code[start + 1 : start + 1 + width]
+            else:
+                operand = None
+                assert width == 0, code.hex()
+            assert operand == instruction.operand, code.hex()
+        assert sequence.opcodes.dtype == np.uint8
+        assert sequence.widths.dtype == np.uint8
 
 
 def random_bytecodes(n_cases: int = 200, seed: int = 20250726):
@@ -111,6 +138,56 @@ class TestKernelEquivalence:
         for bytecode in random_bytecodes(40, seed=3):
             assert instruction_count(bytecode) == len(Disassembler().mnemonics(bytecode))
 
+    @pytest.mark.parametrize(
+        "codes",
+        [
+            [],
+            [b""],
+            [b"", b"", b""],
+            [bytes([0x60, 0x01]), b"", b"", bytes([0x01, 0x7F, 0xAA])],
+            [b"", bytes([0x5B]), b"", bytes([0x60, 0x61]), b""],
+        ],
+        ids=["no-codes", "one-empty", "all-empty", "empty-middle", "empty-around"],
+    )
+    def test_batch_with_empty_codes(self, codes):
+        assert_batch_matches_disassembler(codes)
+
+    @pytest.mark.parametrize(
+        "codes",
+        [
+            [bytes([0x00, 0x60]), bytes([0x01, 0x02])],
+            [bytes([0x7F]), bytes([0x5B, 0x60, 0x01])],
+            [bytes([0x61, 0xAA]), bytes([0x60, 0x5B]), bytes([0x7F, 0x60, 0x60])],
+            [bytes([0x60]), b"", bytes([0x60])],
+        ],
+        ids=["push1-tail", "push32-tail", "partial-immediates", "around-empty"],
+    )
+    def test_truncated_push_never_bleeds_into_next_code(self, codes):
+        assert_batch_matches_disassembler(codes)
+
+    def test_all_push32_codes(self):
+        codes = [bytes([0x7F]) * length for length in (1, 32, 33, 34, 66, 100)]
+        assert_batch_matches_disassembler(codes)
+        assert_batch_matches_disassembler(codes[::-1])
+
+    def test_every_single_byte_value_in_one_batch(self):
+        assert_batch_matches_disassembler([bytes([value]) for value in range(256)])
+        assert_batch_matches_disassembler([bytes(range(256)), bytes(range(255, -1, -1))])
+
+    def test_batch_from_read_only_buffer(self):
+        codes = random_bytecodes(30, seed=14)
+        buffer = np.frombuffer(b"".join(codes), dtype=np.uint8)
+        assert not buffer.flags.writeable
+        views, offset = [], 0
+        for code in codes:
+            views.append(memoryview(buffer)[offset : offset + len(code)])
+            offset += len(code)
+        assert_batch_matches_disassembler(views)
+        assert np.array_equal(count_batch(views), count_batch(codes))
+
+    def test_random_batch_matches_disassembler(self):
+        assert_batch_matches_disassembler(random_bytecodes(120, seed=11))
+
     def test_dtype_and_shape(self):
         counts = count_opcodes(bytes([0x60, 0x01, 0x00]))
         assert counts.dtype == np.int64
@@ -140,91 +217,3 @@ class TestHelpers:
     def test_observed_mnemonics_sorted_union(self):
         matrix = count_many([bytes([0x60, 0x01, 0x00]), bytes([0x01, 0x02])])
         assert observed_mnemonics(matrix) == ["ADD", "MUL", "PUSH1", "STOP"]
-
-
-class TestBufferKernels:
-    """The packed span-path kernels vs. the per-code batch kernels.
-
-    ``sequence_buffer``/``count_buffer`` are what blob-span workers run over
-    memmap views; they must be bit-identical to ``sequence_batch``/
-    ``count_batch`` on the equivalent bytes list, or the zero-copy corpus
-    plane would silently change features.
-    """
-
-    @staticmethod
-    def _pack(codes):
-        from repro.evm.fastcount import sequence_buffer
-
-        buffer = np.frombuffer(b"".join(codes), dtype=np.uint8)
-        lengths = np.array([len(code) for code in codes], dtype=np.int64)
-        return sequence_buffer(buffer, lengths)
-
-    def test_sequence_buffer_matches_sequence_batch(self):
-        from repro.evm.fastcount import sequence_batch
-
-        codes = random_bytecodes(120, seed=11)
-        expected = sequence_batch(codes)
-        split = self._pack(codes).split()
-        assert len(split) == len(expected)
-        for got, want in zip(split, expected):
-            assert np.array_equal(got.opcodes, want.opcodes)
-            assert np.array_equal(got.widths, want.widths)
-            assert got.opcodes.dtype == want.opcodes.dtype
-            assert got.widths.dtype == want.widths.dtype
-
-    def test_count_buffer_matches_count_batch(self):
-        from repro.evm.fastcount import count_buffer
-
-        codes = random_bytecodes(120, seed=12)
-        buffer = np.frombuffer(b"".join(codes), dtype=np.uint8)
-        lengths = np.array([len(code) for code in codes], dtype=np.int64)
-        assert np.array_equal(count_buffer(buffer, lengths), count_batch(codes))
-
-    def test_packed_counts_match_per_sequence_counts(self):
-        codes = random_bytecodes(60, seed=13)
-        packed = self._pack(codes)
-        matrix = packed.counts()
-        for row, sequence in zip(matrix, packed.split()):
-            assert np.array_equal(row, sequence.counts())
-
-    def test_edge_cases(self):
-        from repro.evm.fastcount import sequence_batch
-
-        cases = [
-            [],
-            [b""],
-            [b"", b"", b""],
-            [bytes([0x7F])],                      # truncated PUSH32, no data
-            [bytes([0x60])],                      # truncated PUSH1
-            [bytes(range(256))],
-            [b"", bytes([0x60, 0x61]), b"", bytes([0x00])],
-        ]
-        for codes in cases:
-            expected = sequence_batch(codes)
-            split = self._pack(codes).split()
-            for got, want in zip(split, expected):
-                assert np.array_equal(got.opcodes, want.opcodes), codes
-                assert np.array_equal(got.widths, want.widths), codes
-
-    def test_memmap_views_accepted(self, tmp_path):
-        from repro.evm.fastcount import count_buffer, sequence_batch, sequence_buffer
-
-        codes = random_bytecodes(30, seed=14)
-        blob = tmp_path / "codes.bin"
-        blob.write_bytes(b"".join(codes))
-        mapped = np.memmap(blob, dtype=np.uint8, mode="r")
-        lengths = np.array([len(code) for code in codes], dtype=np.int64)
-        expected = sequence_batch(codes)
-        for got, want in zip(sequence_buffer(mapped, lengths).split(), expected):
-            assert np.array_equal(got.opcodes, want.opcodes)
-        assert np.array_equal(count_buffer(mapped, lengths), count_batch(codes))
-
-    def test_length_mismatch_rejected(self):
-        from repro.evm.fastcount import count_buffer, sequence_buffer
-
-        buffer = np.zeros(10, dtype=np.uint8)
-        lengths = np.array([4, 4], dtype=np.int64)
-        with pytest.raises(ValueError):
-            sequence_buffer(buffer, lengths)
-        with pytest.raises(ValueError):
-            count_buffer(buffer, lengths)

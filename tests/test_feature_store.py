@@ -183,6 +183,13 @@ class TestStoreSession:
         assert warm.path.stat().st_mtime_ns == mtime
         assert warm.path.read_bytes() == raw
 
+    def test_sessions_share_spill_dir_under_cache_dir(self, tmp_path):
+        store = FeatureStore(tmp_path)
+        assert store.spill_dir == tmp_path / "spill"
+        codes = make_codes(4, seed=19)
+        with store.session(codes) as session:
+            assert session.service.spill_dir == store.spill_dir
+
     def test_analysis_views_dirty_the_session(self, tmp_path):
         # Analysis vectors derive from already-cached sequences (zero kernel
         # passes on a warm run) yet are persistable — computing them must
@@ -200,53 +207,6 @@ class TestStoreSession:
             warm.service.analysis_matrix(codes)
         assert warm.analysis_misses == 0
         assert not warm.saved
-
-
-class TestBlobSessions:
-    """FeatureStore wiring for the corpus-blob plane."""
-
-    def test_session_builds_and_attaches_blob(self, tmp_path):
-        codes = make_codes(6, seed=17)
-        store = FeatureStore(tmp_path / "cache", blob_dir=tmp_path / "blobs")
-        with store.session(codes) as session:
-            assert session.blob is not None
-            assert session.service.corpus_blob is session.blob
-            assert len(session.blob) == len(set(codes))
-            matrix = session.service.count_matrix(codes)
-        reference = BatchFeatureService().count_matrix(codes)
-        assert np.array_equal(matrix, reference)
-        assert session.blob.path.parent == tmp_path / "blobs"
-
-    def test_blob_only_store_has_no_cache_file(self, tmp_path):
-        codes = make_codes(5, seed=18)
-        store = FeatureStore(None, blob_dir=tmp_path)
-        with store.session(codes) as session:
-            assert session.path is None
-            assert session.blob is not None
-            session.service.count_matrix(codes)
-        assert not session.saved
-        assert list(tmp_path.glob("corpus-*.blob"))
-
-    def test_sessions_share_spill_dir_under_cache_dir(self, tmp_path):
-        store = FeatureStore(tmp_path)
-        assert store.spill_dir == tmp_path / "spill"
-        codes = make_codes(4, seed=19)
-        with store.session(codes) as session:
-            assert session.service.spill_dir == store.spill_dir
-
-    def test_scale_knob_threads_blob_through_feature_session(
-        self, smoke_scale, tmp_path
-    ):
-        codes = make_codes(5, seed=20)
-        scale = dataclasses.replace(
-            smoke_scale, corpus_blob_dir=str(tmp_path / "blobs")
-        )
-        with feature_session(scale, codes) as session:
-            assert session is not None
-            assert session.blob is not None
-            matrix = session.service.count_matrix(codes)
-        assert np.array_equal(matrix, BatchFeatureService().count_matrix(codes))
-        assert list((tmp_path / "blobs").glob("corpus-*.blob"))
 
 
 class TestSingleByteCorruption:
@@ -358,17 +318,15 @@ class TestDriverWarmStart:
         assert last_session() is marker  # registry-only: no store session
         assert list(tmp_path.iterdir()) == []
 
-    def test_process_executor_store_round_trip(self, tmp_path):
+    def test_pooled_store_round_trip(self, tmp_path):
         codes = make_codes(10, seed=11)
-        thread_store = FeatureStore(tmp_path / "thread")
-        process_store = FeatureStore(
-            tmp_path / "process", max_workers=2, chunk_size=2, executor="process"
-        )
-        with thread_store.session(codes) as ours:
+        inline_store = FeatureStore(tmp_path / "inline")
+        pooled_store = FeatureStore(tmp_path / "pooled", max_workers=2, chunk_size=2)
+        with inline_store.session(codes) as ours:
             reference = ours.service.count_matrix(codes)
-        with process_store.session(codes) as theirs:
+        with pooled_store.session(codes) as theirs:
             matrix = theirs.service.count_matrix(codes)
         assert np.array_equal(matrix, reference)
-        with process_store.session(codes) as warmed:
+        with pooled_store.session(codes) as warmed:
             pass
         assert warmed.warm_start and warmed.kernel_passes == 0
